@@ -105,9 +105,10 @@ enum Phase {
 
 /// Cached metric handles for the pipeline's hot path: resolved once at
 /// construction so `process_record` never touches the registry mutex.
-/// Stage timings go through [`obs::BatchedRecorder`]s — plain local
-/// buffers, no atomics per record — flushed into the shared histograms on
-/// drop or via [`StreamingPipeline::flush_obs`]. Score samples likewise
+/// Stage timings are taken on 1 record in 2^shift (see
+/// [`obs::probe_sample_mask`]) and go through [`obs::BatchedRecorder`]s —
+/// plain local buffers, no atomics per record — flushed into the shared
+/// histograms on drop or via [`StreamingPipeline::flush_obs`]. Score samples likewise
 /// buffer in a local [`obs::QuantileSketch`] and merge into the shared
 /// registry sketches on flush, so the hot path never takes the sketch
 /// mutex either.
@@ -118,6 +119,9 @@ struct PipelineStats {
     resets: Arc<obs::Counter>,
     refits: Arc<obs::Counter>,
     alarms: Arc<obs::Counter>,
+    /// Records seen with metrics on; picks the records whose stages are
+    /// clocked.
+    seen: u64,
     filter_ns: obs::BatchedRecorder,
     transform_ns: obs::BatchedRecorder,
     score_ns: obs::BatchedRecorder,
@@ -171,6 +175,7 @@ impl PipelineStats {
             resets: obs::counter("pipeline.resets"),
             refits: obs::counter("pipeline.refits"),
             alarms: obs::counter("pipeline.alarms"),
+            seen: 0,
             filter_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.filter_ns")),
             transform_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.transform_ns")),
             score_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.score_ns")),
@@ -229,6 +234,16 @@ impl Drop for PipelineStats {
 /// Nanoseconds since `t`, saturating.
 fn ns_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Records the time since the stage clock's last lap, if it runs, and
+/// starts the next lap at the same reading.
+fn lap(clock: &mut Option<Instant>, stage: &mut obs::BatchedRecorder) {
+    if let Some(t0) = *clock {
+        let now = Instant::now();
+        stage.record(u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX));
+        *clock = Some(now);
+    }
 }
 
 /// The streaming pipeline of Algorithm 1 for a single vehicle.
@@ -379,36 +394,35 @@ impl StreamingPipeline {
 
     /// Handles one raw record; returns any alarms raised.
     ///
-    /// With metrics enabled, the filter → transform → score stages are
-    /// timed into `pipeline.stage.*_ns` histograms and every raised alarm
-    /// records `alarm.latency_ns` — the wall-clock delay from this
-    /// record's arrival (entry into this call) to the alarm's emission,
-    /// i.e. how long the triggering observation took to become an alarm.
-    /// Disabled, the probe cost is one relaxed atomic load.
+    /// With metrics enabled, every raised alarm records `alarm.latency_ns`
+    /// — the wall-clock delay from this record's arrival (entry into this
+    /// call) to the alarm's emission, i.e. how long the triggering
+    /// observation took to become an alarm — and 1 record in 2^shift (see
+    /// [`obs::probe_sample_mask`]) has the filter → transform → score
+    /// stages it reaches timed into the `pipeline.stage.*_ns` histograms.
+    /// So a metrics-on record reads the clock once, a sampled one a few
+    /// times more. Disabled, the probe cost is one relaxed atomic load.
     pub fn process_record(&mut self, timestamp: i64, row: &[f64]) -> Vec<Alarm> {
         let on = obs::metrics_enabled();
         let events_on = obs::events_enabled();
         // Arrival timestamp of the triggering record, for alarm latency.
         let arrival = (on || events_on).then(Instant::now);
-        let mut clock = if on {
+        // The stage clock starts at the arrival reading on sampled records.
+        let mut clock = None;
+        if on {
             self.stats.records.incr();
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let kept = self.cfg.filter.keep_row(&self.input_names, row);
-        if let Some(t0) = clock {
-            self.stats.filter_ns.record(ns_since(t0));
-            clock = Some(Instant::now());
+            self.stats.seen += 1;
+            if self.stats.seen & obs::probe_sample_mask() == 0 {
+                clock = arrival;
+            }
         }
+        let kept = self.cfg.filter.keep_row(&self.input_names, row);
+        lap(&mut clock, &mut self.stats.filter_ns);
         if !kept {
             return Vec::new();
         }
         let emitted = self.transform.push_into(timestamp, row, &mut self.feat);
-        if let Some(t0) = clock {
-            self.stats.transform_ns.record(ns_since(t0));
-            clock = Some(Instant::now());
-        }
+        lap(&mut clock, &mut self.stats.transform_ns);
         let Some(t) = emitted else {
             return Vec::new();
         };
@@ -484,9 +498,7 @@ impl StreamingPipeline {
                     .collect()
             }
         };
-        if let Some(t0) = clock {
-            self.stats.score_ns.record(ns_since(t0));
-        }
+        lap(&mut clock, &mut self.stats.score_ns);
         if !alarms.is_empty() {
             let latency_ns = arrival.map(ns_since);
             if on {

@@ -3,12 +3,13 @@
 //! One engine owns N [`Shard`]s; a [`ShardRouter`] fans the interleaved
 //! fleet stream out by vehicle hash, so each vehicle's state — a bounded
 //! [`ReorderBuffer`] plus a [`StreamingPipeline`] — lives on exactly one
-//! shard and batches can be processed with one worker per shard
-//! ([`ShardedIngest::ingest_batch`] via `par_map_mut`). Malformed records
-//! (wrong arity, non-finite values) and same-timestamp conflicts go to a
-//! counted dead-letter sink; arrivals beyond the lateness horizon are
-//! counted and skipped. Nothing panics on dirty input and no path grows
-//! without bound.
+//! shard and the shards of one batch can run in parallel
+//! ([`ShardedIngest::ingest_batch`] via `par_map_mut`: the calling thread
+//! runs the first shard and scoped threads the rest, so a one-shard engine
+//! never leaves the caller's thread). Malformed records (wrong arity,
+//! non-finite values) and same-timestamp conflicts go to a counted
+//! dead-letter sink; arrivals beyond the lateness horizon are counted and
+//! skipped. Nothing panics on dirty input and no path grows without bound.
 //!
 //! # Observability
 //!
@@ -38,11 +39,12 @@ use crate::quality::{QualityConfig, QualityMonitor, QualitySnapshot};
 use crate::reorder::{PushOutcome, ReorderBuffer, SeqKey, Sequenced};
 use crate::router::ShardRouter;
 
-/// A stream item plus the wall-clock (monotonic) moment the engine first
-/// saw it. The arrival stamp rides through the reorder buffer so alarm
-/// provenance can attribute latency to buffering vs. pipeline work; it is
-/// deliberately ignored by [`Sequenced::identical`] — a duplicate is a
-/// duplicate no matter when its copies arrived.
+/// A stream item plus the wall-clock (monotonic) moment the call that
+/// delivered it entered the engine. The arrival stamp rides through the
+/// reorder buffer so alarm provenance can attribute latency to buffering
+/// vs. pipeline work; it is deliberately ignored by
+/// [`Sequenced::identical`] — a duplicate is a duplicate no matter when
+/// its copies arrived.
 #[derive(Debug, Clone)]
 struct Arrival {
     item: StreamItem,
@@ -174,7 +176,9 @@ pub struct AlarmProvenance {
     /// The release watermark (epoch seconds) when the triggering record
     /// left the reorder buffer.
     pub watermark_ts: i64,
-    /// Monotonic ns when the triggering record arrived at the engine.
+    /// Monotonic ns when the call that delivered the triggering record
+    /// (`ingest` or `ingest_batch`) entered the engine; every item of one
+    /// call shares it, so in-batch queueing counts as buffer wait.
     pub arrival_ns: u64,
     /// Monotonic ns when the reorder buffer released it to the pipeline.
     pub release_ns: u64,
@@ -508,9 +512,10 @@ impl Shard {
         }
     }
 
-    fn process(&mut self, item: StreamItem, alarms: &mut Vec<FleetAlarm>) {
+    /// Processes one item that arrived at `arrival_ns` (the stamp of the
+    /// engine call that delivered it).
+    fn process(&mut self, item: StreamItem, arrival_ns: u64, alarms: &mut Vec<FleetAlarm>) {
         let metrics_on = obs::metrics_enabled();
-        let arrival_ns = obs::elapsed_ns();
         match &item.body {
             StreamBody::Record(row) => {
                 self.stats.records += 1;
@@ -821,17 +826,21 @@ impl ShardedIngest {
     /// Ingests one item inline (no fan-out). Returns any alarms raised by
     /// records this arrival released.
     pub fn ingest(&mut self, item: StreamItem) -> Vec<FleetAlarm> {
+        let arrival_ns = obs::elapsed_ns();
         let mut alarms = Vec::new();
         let shard = self.shard_of(item.vehicle);
-        self.shards[shard].process(item, &mut alarms);
+        self.shards[shard].process(item, arrival_ns, &mut alarms);
         alarms
     }
 
     /// Ingests a batch: items are bucketed per shard in arrival order,
-    /// then the shards run in parallel (one worker per shard). Returned
-    /// alarms are grouped by shard, per-vehicle order preserved.
+    /// then the shards run in parallel through `par_map_mut` (the first
+    /// shard on the calling thread). Every item is stamped with the one
+    /// arrival time of this call. Returned alarms are grouped by shard,
+    /// per-vehicle order preserved.
     pub fn ingest_batch(&mut self, items: Vec<StreamItem>) -> Vec<FleetAlarm> {
         let _span = obs::span("ingest_batch");
+        let arrival_ns = obs::elapsed_ns();
         let n = self.shards.len();
         let mut buckets: Vec<Vec<StreamItem>> = (0..n).map(|_| Vec::new()).collect();
         for item in items {
@@ -842,7 +851,7 @@ impl ShardedIngest {
         let per_shard = par_map_mut(&mut tasks, |_, (shard, bucket)| {
             let mut alarms = Vec::new();
             for item in std::mem::take(bucket) {
-                shard.process(item, &mut alarms);
+                shard.process(item, arrival_ns, &mut alarms);
             }
             alarms
         });
@@ -1223,6 +1232,30 @@ mod tests {
     }
 
     #[test]
+    fn alarms_of_one_batch_share_its_arrival_stamp() {
+        for n_shards in [1, 2] {
+            let mut engine = ShardedIngest::new(&["a", "b"], tiny_config(n_shards));
+            let mut items = Vec::new();
+            for item in breaking_items(240) {
+                for vehicle in 1..=4 {
+                    items.push(StreamItem { vehicle, ..item.clone() });
+                }
+            }
+            let before = obs::elapsed_ns();
+            let _ = engine.ingest_batch(items);
+            let prov = engine.drain_provenance();
+            assert!(!prov.is_empty(), "the correlation break must alarm inside the batch");
+            let arrival_ns = prov[0].arrival_ns;
+            assert!(arrival_ns >= before);
+            for p in &prov {
+                assert_eq!(p.arrival_ns, arrival_ns, "one stamp per ingest_batch call");
+                assert!(p.release_ns >= p.arrival_ns, "buffer wait cannot be negative");
+                assert!(p.emit_ns >= p.release_ns, "pipeline time cannot be negative");
+            }
+        }
+    }
+
+    #[test]
     fn provenance_is_identical_with_metrics_off_and_on() {
         // Provenance is always-on; flipping metrics must not change what
         // the journal sees (timestamps differ, shape and counts do not).
@@ -1241,6 +1274,33 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.vehicle, x.alarm_timestamp), (y.vehicle, y.alarm_timestamp));
         }
+    }
+
+    fn record_at(timestamp: i64) -> StreamItem {
+        StreamItem { vehicle: 1, timestamp, body: StreamBody::Record(vec![1.0, 2.0]) }
+    }
+
+    /// Event-time overflow probe: a first-ever record stamped near
+    /// `i64::MIN` once overflowed the reorder watermark (`max - horizon`),
+    /// panicking a debug build inside the batch.
+    #[test]
+    fn extreme_first_timestamp_saturates_the_watermark() {
+        let mut engine = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        let _ = engine.ingest_batch(vec![record_at(i64::MIN + 1)]);
+        let stats = engine.stats();
+        assert_eq!((stats.records, stats.released), (1, 0), "held behind the watermark");
+    }
+
+    /// Event-time overflow probe: a record stamped near `i64::MIN` after a
+    /// normal one once overflowed the quality monitor's cadence delta. The
+    /// backwards jump reads as reordered, not as a cadence gap.
+    #[test]
+    fn extreme_backward_timestamp_reads_as_reordered() {
+        let mut engine = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        let _ = engine.ingest_batch(vec![record_at(0), record_at(60), record_at(i64::MIN + 1)]);
+        let stats = engine.stats();
+        assert_eq!((stats.records, stats.reordered, stats.quality_flagged), (3, 1, 0));
+        assert_eq!(engine.quality_snapshots()[0].1.gap_fraction, 0.0);
     }
 
     #[test]

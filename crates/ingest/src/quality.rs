@@ -295,7 +295,8 @@ impl QualityMonitor {
     fn observe_cadence(&mut self, timestamp: i64) {
         let prev = self.last_ts.replace(timestamp);
         let Some(prev) = prev else { return };
-        let dt = timestamp - prev;
+        // Saturating: an extreme backwards jump still reads as reordered.
+        let dt = timestamp.saturating_sub(prev);
         if dt <= 0 {
             // Reordered arrival: sequencing trouble, not a cadence gap.
             return;

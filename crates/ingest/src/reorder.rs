@@ -190,10 +190,11 @@ impl<T: Sequenced> ReorderBuffer<T> {
     }
 
     /// The current release watermark in event-time seconds (maximum
-    /// observed timestamp minus the horizon); `None` before any arrival.
-    /// Items at or before the watermark are released by the next drain.
+    /// observed timestamp minus the horizon, saturating at `i64::MIN`);
+    /// `None` before any arrival. Items at or before the watermark are
+    /// released by the next drain.
     pub fn watermark(&self) -> Option<i64> {
-        self.max_ts.map(|m| m - self.horizon)
+        self.max_ts.map(|m| m.saturating_sub(self.horizon))
     }
 
     fn drain_ready(&mut self, out: &mut Vec<T>) {
