@@ -34,7 +34,7 @@ pub use aggregator::{AlarmAggregator, AlarmInstance};
 pub use detectors::{Detector, DetectorKind};
 pub use evaluation::{evaluate, sweep_best, EvalCounts, EvalParams};
 pub use fleet_grand::{fleet_grand_scores, FleetGrandParams, VehicleSeries};
-pub use par::{par_map, par_map_mut};
+pub use par::{par_map, OwnerPool};
 pub use pipeline::{replay_interleaved, replay_stream, Alarm, PipelineConfig, StreamingPipeline};
 pub use reference::ResetPolicy;
 pub use runner::{run_vehicle, RunnerParams, VehicleScores};

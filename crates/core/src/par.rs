@@ -1,4 +1,4 @@
-//! Scoped fork-join parallelism for the fleet-scale loops.
+//! Fork-join parallelism for the fleet-scale loops.
 //!
 //! Every per-vehicle computation in the workspace — batch scoring, the
 //! fleet-level Grand ablation, daily-series construction — is
@@ -7,6 +7,12 @@
 //! round-robin loop; [`par_map`] centralises that pattern (std-only, no
 //! thread-pool dependency) so the partitioning, ordering and panic
 //! propagation are written once.
+//!
+//! [`OwnerPool`] is the companion for fan-outs that repeat many times a
+//! second over the same stateful items — the ingest engine's shards, once
+//! per batch. Its worker threads persist across calls and the items move
+//! to them by value over channels, so a call pays a channel round trip per
+//! chunk rather than a thread spawn and join.
 
 /// Sampling mask for per-item task timing: coarse fan-outs (fleets of
 /// vehicles) time every item so the `par_map.task_ns` histogram keeps its
@@ -102,30 +108,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Maps `f` over `items` in parallel with exclusive (`&mut`) access to
-/// each item, returning the results in input order.
-///
-/// The companion to [`par_map`] for fan-outs over *stateful* workers — the
-/// ingest engine's shards each own per-vehicle pipelines that must be
-/// mutated in place, once per batch. Items are partitioned into
-/// `min(available_parallelism, items.len())` contiguous chunks via
-/// `split_at_mut`, so the borrow checker can prove the `&mut` slices are
-/// disjoint. The calling thread runs the first chunk itself and scoped
-/// threads run the rest: one item (one shard) spawns no thread, two spawn
-/// one. `f` receives `(index, &mut item)` with `index` relative to
-/// `items`. A panic in any chunk — the caller's or a spawned one — reaches
-/// the caller only after every spawned thread has joined. Every chunk,
-/// the caller's included, runs under a `par_map.worker` span parented onto
-/// the `par_map_mut` span, same as [`par_map`].
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    par_map_mut_on(parallelism(), items, f)
-}
-
 /// Worker threads a fan-out may use: `available_parallelism`, resolved once
 /// per process (on Linux it reads cgroup files, tens of µs per call).
 fn parallelism() -> usize {
@@ -133,50 +115,194 @@ fn parallelism() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
 }
 
-/// [`par_map_mut`] over at most `threads` chunks.
-fn par_map_mut_on<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let span = navarchos_obs::span("par_map_mut");
-    let parent_id = span.id();
-    let run = |base: usize, chunk: &mut [T]| -> Vec<R> {
-        let _worker = navarchos_obs::span_child_of("par_map.worker", parent_id);
-        chunk.iter_mut().enumerate().map(|(i, item)| f(base + i, item)).collect()
-    };
+/// The per-item function of one [`OwnerPool::par_map_mut`] call, shared by
+/// every chunk of that call.
+type ChunkFn<T, R> = std::sync::Arc<dyn Fn(usize, &mut T) -> R + Send + Sync>;
 
-    // Contiguous chunking (ceil(n / threads) per chunk) instead of
-    // round-robin: disjoint `&mut` sub-slices are free; an index shuffle
-    // would need unsafe or per-item locks.
-    let chunk_len = n.div_ceil(threads.clamp(1, n));
-    let (first, rest) = items.split_at_mut(chunk_len);
-    let results = std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = rest
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| scope.spawn(move || run((c + 1) * chunk_len, chunk)))
-            .collect();
-        // If the caller's chunk panics, the scope still joins every
-        // spawned thread before the unwind leaves it.
-        let mut out = run(0, first);
-        // Joined in spawn order, so appending restores input order.
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
+/// One chunk sent to a worker: its items by value, the index of its first
+/// item, the call's function, and the fan-out span to parent onto.
+struct Job<T, R> {
+    base: usize,
+    items: Vec<T>,
+    f: ChunkFn<T, R>,
+    parent: Option<u64>,
+}
+
+/// A chunk coming back: its items, and its results or its panic.
+struct Done<T, R> {
+    items: Vec<T>,
+    out: std::thread::Result<Vec<R>>,
+}
+
+struct Worker<T, R> {
+    jobs: std::sync::mpsc::Sender<Job<T, R>>,
+    done: std::sync::mpsc::Receiver<Done<T, R>>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl<T: Send + 'static, R: Send + 'static> Worker<T, R> {
+    fn spawn() -> Self {
+        let (jobs, job_rx) = std::sync::mpsc::channel::<Job<T, R>>();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            // Ends when the pool drops its sender.
+            for Job { base, mut items, f, parent } in job_rx {
+                let out = run_chunk(&*f, base, &mut items, parent);
+                if done_tx.send(Done { items, out }).is_err() {
+                    break;
+                }
+            }
+        });
+        Worker { jobs, done, handle }
+    }
+}
+
+/// Runs `f` over one chunk under a `par_map.worker` span, catching a panic
+/// so the chunk's items survive it.
+fn run_chunk<T, R>(
+    f: &(dyn Fn(usize, &mut T) -> R + Send + Sync),
+    base: usize,
+    items: &mut [T],
+    parent: Option<u64>,
+) -> std::thread::Result<Vec<R>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _worker = navarchos_obs::span_child_of("par_map.worker", parent);
+        items.iter_mut().enumerate().map(|(i, item)| f(base + i, item)).collect()
+    }))
+}
+
+/// A persistent fork-join pool for fan-outs over *owned, stateful* items —
+/// the ingest engine's shards, each owning per-vehicle pipelines that are
+/// mutated once per batch.
+///
+/// [`OwnerPool::par_map_mut`] splits the items into
+/// `min(available_parallelism, items.len())` contiguous chunks. The
+/// calling thread runs chunk 0 in place; every other chunk moves by value
+/// over a channel to its own worker — chunk `k` always to the same one, a
+/// long-lived thread spawned on the first call that needs it and joined
+/// when the pool drops — and comes back with its results. So one item
+/// spawns nothing, and a steady fan-out pays a channel round trip per
+/// chunk instead of a thread spawn and join per call.
+pub struct OwnerPool<T, R> {
+    /// Most chunks one call splits its items into.
+    threads: usize,
+    /// `workers[k]` runs chunk `k + 1` of every call.
+    workers: Vec<Worker<T, R>>,
+}
+
+impl<T: Send + 'static, R: Send + 'static> OwnerPool<T, R> {
+    /// A pool that spawns no thread until a call has a second chunk.
+    pub fn new() -> Self {
+        Self::with_threads(parallelism())
+    }
+
+    /// A pool splitting each call into at most `threads` chunks.
+    fn with_threads(threads: usize) -> Self {
+        OwnerPool { threads, workers: Vec::new() }
+    }
+
+    /// Maps `f` over `items` with exclusive access to each, returning the
+    /// results in input order; `f` receives `(index, &mut item)`.
+    ///
+    /// Items leave `items` while their chunk runs and are all back, in
+    /// their original order, when the call returns or unwinds. A panic in
+    /// any chunk — the caller's or a worker's — is caught where it
+    /// happens; the first one in chunk order is resumed on the caller once
+    /// every chunk has returned its items, and the pool stays usable.
+    /// Every chunk, the caller's included, runs under a `par_map.worker`
+    /// span parented onto the call's `par_map_mut` span.
+    pub fn par_map_mut<F>(&mut self, items: &mut Vec<T>, f: F) -> Vec<R>
+    where
+        F: Fn(usize, &mut T) -> R + Send + Sync + 'static,
+    {
+        let n = items.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let span = navarchos_obs::span("par_map_mut");
+        let parent = span.id();
+        let f: ChunkFn<T, R> = std::sync::Arc::new(f);
+
+        // Contiguous chunking (ceil(n / threads) per chunk): chunk 0 stays
+        // in `items`, the rest leave by value, chunk k to `workers[k - 1]`.
+        let chunk_len = n.div_ceil(self.threads.clamp(1, n));
+        let sent = n.div_ceil(chunk_len) - 1;
+        // Spawned before any item leaves `items`, so a failed spawn loses none.
+        while self.workers.len() < sent {
+            self.workers.push(Worker::spawn());
+        }
+        let mut rest = items.split_off(chunk_len).into_iter();
+        for (k, worker) in self.workers[..sent].iter().enumerate() {
+            let chunk: Vec<T> = rest.by_ref().take(chunk_len).collect();
+            let job = Job {
+                base: (k + 1) * chunk_len,
+                items: chunk,
+                f: std::sync::Arc::clone(&f),
+                parent,
+            };
+            if worker.jobs.send(job).is_err() {
+                worker_lost();
             }
         }
+
+        let mut panic = None;
+        let mut out = Vec::with_capacity(n);
+        match run_chunk(&*f, 0, items, parent) {
+            Ok(part) => out.extend(part),
+            Err(payload) => panic = Some(payload),
+        }
+        // Received in chunk order, so appending restores input order.
+        for worker in &self.workers[..sent] {
+            let Ok(Done { items: chunk, out: part }) = worker.done.recv() else {
+                worker_lost();
+            };
+            items.extend(chunk);
+            match part {
+                Ok(part) => out.extend(part),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        drop(span);
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         out
-    });
-    drop(span);
-    results
+    }
+}
+
+/// A worker catches every panic of its chunks, so its channels close only
+/// when the pool drops; reaching this means the thread died some other way
+/// and its chunk's items are gone.
+fn worker_lost() -> ! {
+    std::panic::resume_unwind(Box::new("owner pool worker exited with a chunk in flight"))
+}
+
+impl<T: Send + 'static, R: Send + 'static> Default for OwnerPool<T, R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T, R> std::fmt::Debug for OwnerPool<T, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OwnerPool")
+            .field("threads", &self.threads)
+            .field("workers", &self.workers.len())
+            .finish()
+    }
+}
+
+impl<T, R> Drop for OwnerPool<T, R> {
+    /// Closes every worker's job channel and joins its thread.
+    fn drop(&mut self) {
+        for Worker { jobs, done, handle } in self.workers.drain(..) {
+            drop((jobs, done));
+            // A worker catches its chunks' panics, so join has none to report.
+            let _ = handle.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,7 +368,7 @@ mod tests {
     #[test]
     fn par_map_mut_mutates_in_place_and_preserves_order() {
         let mut items: Vec<u64> = (0..137).collect();
-        let out = par_map_mut(&mut items, |i, x| {
+        let out = OwnerPool::new().par_map_mut(&mut items, |i, x| {
             assert_eq!(i as u64, *x);
             *x += 1;
             *x * 10
@@ -253,98 +379,177 @@ mod tests {
 
     #[test]
     fn par_map_mut_empty_and_single() {
+        let mut pool = OwnerPool::new();
         let mut empty: Vec<u8> = Vec::new();
-        let out: Vec<u8> = par_map_mut(&mut empty, |_, &mut x| x);
+        let out: Vec<u8> = pool.par_map_mut(&mut empty, |_, &mut x| x);
         assert!(out.is_empty());
         let mut one = vec![41u8];
-        assert_eq!(par_map_mut(&mut one, |_, x| *x + 1), vec![42]);
+        assert_eq!(pool.par_map_mut(&mut one, |_, x| *x + 1), vec![42]);
+    }
+
+    fn thread_ids<T: Send + 'static>(
+        pool: &mut OwnerPool<T, std::thread::ThreadId>,
+        items: &mut Vec<T>,
+    ) -> Vec<std::thread::ThreadId> {
+        pool.par_map_mut(items, |_, _| std::thread::current().id())
     }
 
     #[test]
     fn par_map_mut_runs_the_first_chunk_on_the_caller() {
         let caller = std::thread::current().id();
-        let mut items = vec![0u8; 4];
-        let ids = par_map_mut_on(2, &mut items, |_, _| std::thread::current().id());
+        let ids = thread_ids(&mut OwnerPool::with_threads(2), &mut vec![0u8; 4]);
         assert_eq!(ids[..2], [caller, caller], "chunk 0 runs on the calling thread");
-        assert!(ids[2..].iter().all(|&id| id != caller), "chunk 1 runs on a spawned thread");
+        assert!(ids[2..].iter().all(|&id| id != caller), "chunk 1 runs on a worker thread");
         // Whatever the host's parallelism, item 0 is always the caller's.
-        let mut items = vec![0u8; 9];
-        assert_eq!(par_map_mut(&mut items, |_, _| std::thread::current().id())[0], caller);
+        assert_eq!(thread_ids(&mut OwnerPool::new(), &mut vec![0u8; 9])[0], caller);
     }
 
     #[test]
     fn par_map_mut_single_item_spawns_nothing() {
         let caller = std::thread::current().id();
-        let mut one = vec![0u8];
         for threads in [1, 2, 8] {
-            let ids = par_map_mut_on(threads, &mut one, |_, _| std::thread::current().id());
-            assert_eq!(ids, vec![caller]);
+            let mut pool = OwnerPool::with_threads(threads);
+            assert_eq!(thread_ids(&mut pool, &mut vec![0u8]), vec![caller]);
+            assert!(pool.workers.is_empty(), "{threads} threads");
         }
+    }
+
+    #[test]
+    fn par_map_mut_chunks_keep_their_worker_across_calls() {
+        let mut pool = OwnerPool::with_threads(3);
+        let mut items: Vec<u8> = vec![0; 6];
+        let first = thread_ids(&mut pool, &mut items);
+        for _ in 0..5 {
+            assert_eq!(thread_ids(&mut pool, &mut items), first);
+        }
+        assert_eq!(pool.workers.len(), 2, "chunks 1 and 2, one worker each");
+        assert_ne!(first[2], first[4], "each chunk has its own worker");
+        // A call with fewer chunks uses a prefix of the same workers.
+        assert_eq!(thread_ids(&mut pool, &mut vec![0u8; 2]), [first[0], first[2]]);
     }
 
     #[test]
     fn par_map_mut_preserves_order_for_every_chunking() {
         for threads in 1..=12 {
-            let mut items: Vec<usize> = (0..10).collect();
-            let out = par_map_mut_on(threads, &mut items, |i, x| {
-                assert_eq!(i, *x);
-                *x * 3
-            });
-            assert_eq!(out, (0..10).map(|x| x * 3).collect::<Vec<_>>(), "{threads} threads");
+            let mut pool = OwnerPool::with_threads(threads);
+            for _ in 0..2 {
+                let mut items: Vec<usize> = (0..10).collect();
+                let out = pool.par_map_mut(&mut items, |i, x| {
+                    assert_eq!(i, *x);
+                    *x * 3
+                });
+                assert_eq!(out, (0..10).map(|x| x * 3).collect::<Vec<_>>(), "{threads} threads");
+                assert_eq!(items, (0..10).collect::<Vec<_>>(), "{threads} threads");
+            }
         }
     }
 
-    /// Runs a `par_map_mut_on` whose item `panics_at` panics and whose
-    /// last item finishes only after that panic has started; returns the
-    /// panic message and whether the late item had finished by the time
-    /// the panic reached the caller.
-    fn panic_after_join(threads: usize, n: usize, panics_at: usize) -> (String, bool) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let late_done = AtomicBool::new(false);
-        let (panicking, panic_started) = std::sync::mpsc::channel::<()>();
-        let panic_started = std::sync::Mutex::new(panic_started);
+    /// Runs a `par_map_mut` over `0..n` that adds 10 to every item except
+    /// `panics_at`, which panics; returns the panic message and the items
+    /// as the call left them. Every item is moved out of `items` while its
+    /// chunk runs, so finding them all back, the others incremented, shows
+    /// the caller waited for every chunk before the panic reached it.
+    fn panic_after_join(
+        pool: &mut OwnerPool<usize, ()>,
+        n: usize,
+        panics_at: usize,
+    ) -> (String, Vec<usize>) {
+        let mut items: Vec<usize> = (0..n).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut items: Vec<usize> = (0..n).collect();
-            par_map_mut_on(threads, &mut items, |i, _| {
-                if i == panics_at {
-                    let _ = panicking.send(());
-                    panic!("boom at {i}");
-                }
-                if i == n - 1 {
-                    // The channel orders the panic first; the pause keeps
-                    // this item running while the panic unwinds, so a
-                    // caller that did not wait would see the flag unset.
-                    let _ = panic_started.lock().map(|rx| rx.recv());
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    late_done.store(true, Ordering::SeqCst);
-                }
+            pool.par_map_mut(&mut items, move |i, x| {
+                assert!(i != panics_at, "boom at {i}");
+                *x += 10;
             })
         }));
         let payload = result.expect_err("the panic must reach the caller");
         let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
-        (msg, late_done.load(Ordering::SeqCst))
+        (msg, items)
     }
 
     #[test]
     fn par_map_mut_caller_chunk_panic_waits_for_spawned_chunks() {
-        assert_eq!(panic_after_join(2, 2, 0), ("boom at 0".to_string(), true));
+        let (msg, items) = panic_after_join(&mut OwnerPool::with_threads(2), 2, 0);
+        assert_eq!((msg.as_str(), items), ("boom at 0", vec![0, 11]));
     }
 
     #[test]
     fn par_map_mut_spawned_chunk_panic_waits_for_the_others() {
-        assert_eq!(panic_after_join(3, 3, 1), ("boom at 1".to_string(), true));
+        let (msg, items) = panic_after_join(&mut OwnerPool::with_threads(3), 3, 1);
+        assert_eq!((msg.as_str(), items), ("boom at 1", vec![10, 1, 12]));
+    }
+
+    #[test]
+    fn par_map_mut_pool_survives_panics() {
+        let mut pool = OwnerPool::with_threads(3);
+        let clean_call = |pool: &mut OwnerPool<usize, ()>| {
+            let mut items: Vec<usize> = (0..3).collect();
+            assert_eq!(pool.par_map_mut(&mut items, |_, _| ()).len(), 3);
+            assert_eq!(items, [0, 1, 2]);
+        };
+        clean_call(&mut pool);
+        let before: Vec<_> = pool.workers.iter().map(|w| w.handle.thread().id()).collect();
+        for panics_at in [0, 1, 2] {
+            let (msg, items) = panic_after_join(&mut pool, 3, panics_at);
+            assert_eq!(msg, format!("boom at {panics_at}"));
+            assert_eq!(items.len(), 3, "every item is back after a panic in chunk {panics_at}");
+            clean_call(&mut pool);
+        }
+        let after: Vec<_> = pool.workers.iter().map(|w| w.handle.thread().id()).collect();
+        assert_eq!(before, after, "a panicking chunk keeps its worker");
+    }
+
+    #[test]
+    fn par_map_mut_first_panic_in_chunk_order_wins() {
+        let mut pool = OwnerPool::with_threads(3);
+        let mut items: Vec<usize> = (0..3).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.par_map_mut(&mut items, |i, _| {
+                assert!(i == 0, "boom at {i}");
+            })
+        }));
+        let payload = result.expect_err("both panics are chunk panics");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom at 1"));
+        assert_eq!(items, [0, 1, 2]);
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_workers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct ExitProbe;
+        impl Drop for ExitProbe {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static PROBE: ExitProbe = const { ExitProbe };
+        }
+        let caller = std::thread::current().id();
+        let mut pool = OwnerPool::with_threads(4);
+        let mut items = vec![0u8; 4];
+        pool.par_map_mut(&mut items, move |_, _| {
+            if std::thread::current().id() != caller {
+                PROBE.with(|_| {});
+            }
+        });
+        assert_eq!(pool.workers.len(), 3);
+        drop(pool);
+        // Thread-local destructors run before a joined thread counts as
+        // finished, so every worker's probe has dropped by now.
+        assert_eq!(EXITED.load(Ordering::SeqCst), 3);
     }
 
     #[test]
     fn par_map_mut_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             let mut items = vec![1, 2, 3];
-            par_map_mut(&mut items, |_, x| {
+            OwnerPool::new().par_map_mut(&mut items, |_, x| {
                 assert!(*x != 2, "boom");
                 *x
             })
         });
-        assert!(result.is_err(), "panic must cross the scope");
+        assert!(result.is_err(), "panic must cross the pool");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace-fixture test for fork-join span parenting (ROADMAP item): spans
-//! opened on `par_map` / `par_map_mut` worker threads must parent onto the
-//! fan-out span, so a traced run folds into one tree instead of a forest
-//! with one root per worker thread.
+//! opened on `par_map` / `OwnerPool::par_map_mut` worker threads must
+//! parent onto the fan-out span, so a traced run folds into one tree
+//! instead of a forest with one root per worker thread.
 //!
 //! Integration test on purpose: it installs a process-global NDJSON sink,
 //! and `tests/` binaries run in their own process, so no other test's
@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use navarchos_core::{par_map, par_map_mut};
+use navarchos_core::{par_map, OwnerPool};
 use navarchos_obs as obs;
 use navarchos_obs::SpanClose;
 
@@ -85,27 +85,38 @@ fn par_map_worker_spans_parent_onto_the_fanout_span() {
 
 #[test]
 fn par_map_mut_worker_spans_parent_onto_the_fanout_span() {
+    // Two calls on one pool: the second runs on workers that already
+    // exist, and must still parent onto its own fan-out span.
     let spans = capture_spans("par_map_mut", || {
         let _root = obs::span("ingest");
+        let mut pool = OwnerPool::new();
         let mut shards: Vec<u64> = (0..8).collect();
-        let _ = par_map_mut(&mut shards, |_, shard| {
-            let _inner = obs::span("shard_drain");
-            *shard += 1;
-            *shard
-        });
+        for _ in 0..2 {
+            let _ = pool.par_map_mut(&mut shards, |_, shard| {
+                let _inner = obs::span("shard_drain");
+                *shard += 1;
+                *shard
+            });
+        }
     });
 
     let root = spans_named(&spans, "ingest");
     let fanout = spans_named(&spans, "par_map_mut");
-    assert_eq!(fanout.len(), 1);
-    assert_eq!(fanout[0].parent, Some(root[0].id));
+    assert_eq!(fanout.len(), 2, "one fan-out span per call");
+    let fanout_ids: Vec<u64> = fanout.iter().map(|f| f.id).collect();
+    for f in &fanout {
+        assert_eq!(f.parent, Some(root[0].id));
+    }
     let workers = spans_named(&spans, "par_map.worker");
     assert!(!workers.is_empty());
-    for w in &workers {
-        assert_eq!(w.parent, Some(fanout[0].id));
+    for &id in &fanout_ids {
+        let chunks = workers.iter().filter(|w| w.parent == Some(id)).count();
+        assert_eq!(chunks * 2, workers.len(), "each call parents its own chunks");
     }
     let worker_ids: Vec<u64> = workers.iter().map(|w| w.id).collect();
-    for s in spans_named(&spans, "shard_drain") {
+    let inner = spans_named(&spans, "shard_drain");
+    assert_eq!(inner.len(), 16, "one span per item per call");
+    for s in inner {
         assert!(worker_ids.contains(&s.parent.expect("parented")));
     }
 }

@@ -4,9 +4,10 @@
 //! fleet stream out by vehicle hash, so each vehicle's state — a bounded
 //! [`ReorderBuffer`] plus a [`StreamingPipeline`] — lives on exactly one
 //! shard and the shards of one batch can run in parallel
-//! ([`ShardedIngest::ingest_batch`] via `par_map_mut`: the calling thread
-//! runs the first shard and scoped threads the rest, so a one-shard engine
-//! never leaves the caller's thread). Malformed records (wrong arity,
+//! ([`ShardedIngest::ingest_batch`] via an [`OwnerPool`]: the calling
+//! thread runs the first chunk of shards and long-lived worker threads,
+//! one per further chunk, the rest, so a one-shard engine never leaves the
+//! caller's thread). Malformed records (wrong arity,
 //! non-finite values) and same-timestamp conflicts go to a counted
 //! dead-letter sink; arrivals beyond the lateness horizon are counted and
 //! skipped. Nothing panics on dirty input and no path grows without bound.
@@ -29,7 +30,7 @@
 //! [`ShardedIngest::drain_provenance`] into the CLI's NDJSON journal.
 
 use navarchos_core::pipeline::{Alarm, PipelineConfig, StreamingPipeline};
-use navarchos_core::{par_map_mut, DetectorKind, TransformKind};
+use navarchos_core::{DetectorKind, OwnerPool, TransformKind};
 use navarchos_fleetsim::{StreamBody, StreamItem};
 use navarchos_obs as obs;
 use navarchos_stat::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -449,6 +450,8 @@ struct Shard {
     provenance: Vec<AlarmProvenance>,
     /// Scratch for reorder-buffer releases, reused across items.
     released: Vec<Arrival>,
+    /// This shard's items of the batch in flight; empty between batches.
+    inbox: Vec<StreamItem>,
 }
 
 impl Shard {
@@ -464,7 +467,20 @@ impl Shard {
             obs: ShardObs::new(index),
             provenance: Vec::new(),
             released: Vec::new(),
+            inbox: Vec::new(),
         }
+    }
+
+    /// Processes and empties the inbox, keeping its capacity for the next
+    /// batch. Returns the alarms raised.
+    fn drain_inbox(&mut self, arrival_ns: u64) -> Vec<FleetAlarm> {
+        let mut alarms = Vec::new();
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for item in inbox.drain(..) {
+            self.process(item, arrival_ns, &mut alarms);
+        }
+        self.inbox = inbox;
+        alarms
     }
 
     fn lane_index(&mut self, vehicle: u32) -> usize {
@@ -773,6 +789,9 @@ pub struct ShardedIngest {
     /// home.
     overrides: Vec<(u32, usize)>,
     shards: Vec<Shard>,
+    /// Runs the shards of one batch in parallel; its worker threads live
+    /// as long as the engine.
+    pool: OwnerPool<Shard, Vec<FleetAlarm>>,
     health: Vec<ShardHealth>,
     /// Fleet-level worst per-vehicle drift, in milli-z.
     worst_drift: std::sync::Arc<obs::Gauge>,
@@ -794,6 +813,7 @@ impl ShardedIngest {
             router,
             overrides: Vec::new(),
             shards,
+            pool: OwnerPool::new(),
             health,
             worst_drift: obs::gauge("ingest.quality.worst_drift_mz"),
             migration: MigrationStats::default(),
@@ -833,28 +853,23 @@ impl ShardedIngest {
         alarms
     }
 
-    /// Ingests a batch: items are bucketed per shard in arrival order,
-    /// then the shards run in parallel through `par_map_mut` (the first
-    /// shard on the calling thread). Every item is stamped with the one
+    /// Ingests a batch: items go to their shard's inbox in arrival order,
+    /// then the shards run in parallel on the engine's [`OwnerPool`] (the
+    /// first chunk of shards on the calling thread, each further chunk on
+    /// its own worker thread, spawned on the first batch that needs it and
+    /// kept until the engine drops). Every item is stamped with the one
     /// arrival time of this call. Returned alarms are grouped by shard,
-    /// per-vehicle order preserved.
+    /// per-vehicle order preserved. A panic in any shard reaches the
+    /// caller after every shard is back in the engine.
     pub fn ingest_batch(&mut self, items: Vec<StreamItem>) -> Vec<FleetAlarm> {
         let _span = obs::span("ingest_batch");
         let arrival_ns = obs::elapsed_ns();
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<StreamItem>> = (0..n).map(|_| Vec::new()).collect();
         for item in items {
-            buckets[self.shard_of(item.vehicle)].push(item);
+            let shard = self.shard_of(item.vehicle);
+            self.shards[shard].inbox.push(item);
         }
-        let mut tasks: Vec<(&mut Shard, Vec<StreamItem>)> =
-            self.shards.iter_mut().zip(buckets).collect();
-        let per_shard = par_map_mut(&mut tasks, |_, (shard, bucket)| {
-            let mut alarms = Vec::new();
-            for item in std::mem::take(bucket) {
-                shard.process(item, arrival_ns, &mut alarms);
-            }
-            alarms
-        });
+        let per_shard =
+            self.pool.par_map_mut(&mut self.shards, move |_, shard| shard.drain_inbox(arrival_ns));
         per_shard.into_iter().flatten().collect()
     }
 
@@ -1301,6 +1316,27 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.records, stats.reordered, stats.quality_flagged), (3, 1, 0));
         assert_eq!(engine.quality_snapshots()[0].1.gap_fraction, 0.0);
+    }
+
+    /// Event-time overflow probe: a record stamped near `i64::MIN` after
+    /// two normal ones is released by `finish` into the pipeline, where it
+    /// once overflowed the window cadence's gap check.
+    fn extreme_backward_timestamp_flushes(n_shards: usize) {
+        let mut engine = ShardedIngest::new(&["a", "b"], tiny_config(n_shards));
+        let _ = engine.ingest_batch(vec![record_at(60), record_at(120), record_at(i64::MIN + 1)]);
+        let _ = engine.finish();
+        let stats = engine.stats();
+        assert_eq!((stats.records, stats.released), (3, 3));
+    }
+
+    #[test]
+    fn extreme_backward_timestamp_flushes_on_one_shard() {
+        extreme_backward_timestamp_flushes(1);
+    }
+
+    #[test]
+    fn extreme_backward_timestamp_flushes_on_two_shards() {
+        extreme_backward_timestamp_flushes(2);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl SpectralTransform {
 
     fn buffer_push(&mut self, t: i64, row: &[f64]) -> bool {
         if let Some(&last) = self.times.last() {
-            if t - last > self.max_gap {
+            if t.saturating_sub(last) > self.max_gap {
                 self.reset();
             }
         }
@@ -236,7 +236,7 @@ impl HistogramTransform {
 
     fn buffer_push(&mut self, t: i64, row: &[f64]) -> bool {
         if let Some(&last) = self.times.last() {
-            if t - last > self.max_gap {
+            if t.saturating_sub(last) > self.max_gap {
                 self.reset();
             }
         }
@@ -336,6 +336,23 @@ mod tests {
             f.push_row(i as i64 * 60, &[(t * 0.8).sin() * 10.0, (t * 0.1).sin() * 10.0]);
         }
         f
+    }
+
+    /// Event-time overflow probe: a record stamped near `i64::MIN` after
+    /// normal ones, then one at `i64::MAX`, once overflowed the window
+    /// buffers' gap checks.
+    #[test]
+    fn extreme_timestamps_saturate_the_gap_checks() {
+        let n = names(&["x", "y"]);
+        let mut transforms: Vec<Box<dyn Transform>> = vec![
+            Box::new(SpectralTransform::new(&n, 8, 1, 2)),
+            Box::new(HistogramTransform::new(&n, &[(0.0, 10.0), (0.0, 10.0)], 4, 4, 1)),
+        ];
+        for t in &mut transforms {
+            for ts in [0, 60, 120, i64::MIN + 1, i64::MAX] {
+                let _ = t.push(ts, &[1.0, 3.0]);
+            }
+        }
     }
 
     #[test]

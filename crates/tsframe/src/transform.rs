@@ -251,7 +251,7 @@ impl Transform for DeltaTransform {
     fn push_into(&mut self, timestamp: i64, row: &[f64], out: &mut [f64]) -> Option<i64> {
         debug_assert_eq!(row.len(), self.names.len());
         let emit = match self.prev_t {
-            Some(pt) if timestamp - pt <= self.max_gap => {
+            Some(pt) if timestamp.saturating_sub(pt) <= self.max_gap => {
                 for ((o, &a), &b) in out.iter_mut().zip(row).zip(&self.prev) {
                     *o = a - b;
                 }
@@ -356,7 +356,7 @@ impl WindowCadence {
     /// previous record exceeds `max_gap`, in which case the cadence has
     /// been reset and the caller must clear its kernel state too.
     pub fn gap_reset(&mut self, t: i64) -> bool {
-        let stale = matches!(self.last_t, Some(last) if t - last > self.max_gap);
+        let stale = matches!(self.last_t, Some(last) if t.saturating_sub(last) > self.max_gap);
         if stale {
             self.reset();
         }
@@ -606,7 +606,7 @@ impl Transform for CorrelationTransform {
                 }
             }
             let has_diff = match self.prev_t {
-                Some(pt) if timestamp - pt <= Self::MAX_DIFF_GAP => {
+                Some(pt) if timestamp.saturating_sub(pt) <= Self::MAX_DIFF_GAP => {
                     self.diff_scratch.clear();
                     self.diff_scratch.extend(row.iter().zip(&self.prev_row).map(|(&a, &b)| a - b));
                     self.kernel.push(&self.diff_scratch);
@@ -702,6 +702,32 @@ mod tests {
             f.push_row(i as i64 * 60, &[i as f64, 2.0 * i as f64 + 1.0]);
         }
         f
+    }
+
+    /// Event-time overflow probe: a record stamped near `i64::MIN` after a
+    /// normal one, then one at `i64::MAX`, once overflowed the gap checks
+    /// of the delta transform, the window cadence and the correlation
+    /// transform's differencing. Backwards reads as no gap, as any
+    /// in-range step back does; the forward jump is a gap.
+    #[test]
+    fn extreme_timestamps_saturate_the_gap_checks() {
+        let n = names(&["x", "y"]);
+        let mut transforms: Vec<Box<dyn Transform>> = vec![
+            Box::new(DeltaTransform::new(&n)),
+            Box::new(MeanTransform::new(&n, 4, 1)),
+            Box::new(CorrelationTransform::new(&n, 4, 1)),
+            Box::new(CorrelationTransform::new(&n, 4, 1).with_differencing()),
+        ];
+        for t in &mut transforms {
+            let mut out = vec![0.0; t.output_dim()];
+            for ts in [0, 60, 120, i64::MIN + 1, i64::MAX] {
+                let _ = t.push_into(ts, &[1.0, 3.0], &mut out);
+            }
+        }
+        let mut cadence = WindowCadence::new(4, 1);
+        assert!(!cadence.gap_reset(60));
+        assert!(!cadence.gap_reset(i64::MIN + 1), "a step back is not a gap");
+        assert!(cadence.gap_reset(i64::MAX), "a step forward past max_gap is");
     }
 
     #[test]

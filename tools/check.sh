@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, release build, tests, domain lints.
-# Offline-safe — nothing here touches the network. CI runs this same
-# script, so a clean local run means a clean pipeline.
+# The full local gate: formatting, release build, tests, checkpoint smoke,
+# the benchmark's output checks, domain lints. Offline-safe — nothing here
+# touches the network. CI's `check` job runs this script and its
+# `navbench-checks` job runs tools/navbench-checks.sh, which this script
+# also calls, so a clean local run means both jobs pass. The other CI jobs
+# (bench, obs/ingest/ops/quality/checkpoint smokes, analyzer fixtures,
+# manifest diff) are not repeated here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +51,9 @@ grep -q 'snapshot version mismatch' "$CK_DIR/err.txt" || {
   cat "$CK_DIR/err.txt" >&2
   exit 1
 }
+
+step "navbench output checks (tools/navbench-checks.sh)"
+tools/navbench-checks.sh
 
 step "cargo run -p xtask -- lint"
 cargo run -p xtask -- lint
