@@ -193,11 +193,12 @@ impl BatchCorrelation {
 
 /// Filtered `(timestamp, row)` stream of one vehicle, as the runner sees it.
 fn filtered_stream(frame: &Frame, names: &[String], filter: &FilterSpec) -> Vec<(i64, Vec<f64>)> {
+    let filter = filter.bind(names);
     let mut buf = Vec::with_capacity(frame.width());
     let mut out = Vec::with_capacity(frame.len());
     for i in 0..frame.len() {
         frame.row_into(i, &mut buf);
-        if filter.keep_row(names, &buf) {
+        if filter.keep(&buf) {
             out.push((frame.timestamps()[i], buf.clone()));
         }
     }

@@ -12,7 +12,7 @@ use crate::reference::{ReferenceProfile, ResetPolicy};
 use crate::threshold::SelfTuningThreshold;
 use navarchos_obs as obs;
 use navarchos_stat::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-use navarchos_tsframe::{FilterSpec, Frame, Transform, TransformKind};
+use navarchos_tsframe::{BoundFilter, FilterSpec, Frame, Transform, TransformKind};
 
 /// Pipeline configuration (one vehicle's instantiation of the framework).
 #[derive(Debug, Clone)]
@@ -250,7 +250,8 @@ fn lap(clock: &mut Option<Instant>, stage: &mut obs::BatchedRecorder) {
 #[derive(Debug)]
 pub struct StreamingPipeline {
     cfg: PipelineConfig,
-    input_names: Vec<String>,
+    /// `cfg.filter` resolved against the input columns.
+    filter: BoundFilter,
     transform: Box<dyn Transform>,
     detector: Box<dyn Detector>,
     profile: ReferenceProfile,
@@ -297,8 +298,8 @@ impl StreamingPipeline {
             threshold: SelfTuningThreshold::new(channels, cfg.threshold_factor),
             transform,
             detector,
+            filter: cfg.filter.bind(&input_names),
             cfg,
-            input_names,
             channel_names,
             phase: Phase::FillingReference,
             feat: vec![0.0; dim],
@@ -395,28 +396,44 @@ impl StreamingPipeline {
     /// Handles one raw record; returns any alarms raised.
     ///
     /// With metrics enabled, every raised alarm records `alarm.latency_ns`
-    /// — the wall-clock delay from this record's arrival (entry into this
-    /// call) to the alarm's emission, i.e. how long the triggering
-    /// observation took to become an alarm — and 1 record in 2^shift (see
+    /// — the wall-clock delay from this record's latency start to the
+    /// alarm's emission, i.e. how long the triggering observation took to
+    /// become an alarm — and 1 record in 2^shift (see
     /// [`obs::probe_sample_mask`]) has the filter → transform → score
     /// stages it reaches timed into the `pipeline.stage.*_ns` histograms.
-    /// So a metrics-on record reads the clock once, a sampled one a few
-    /// times more. Disabled, the probe cost is one relaxed atomic load.
+    /// Here the latency start is entry into this call, read only while
+    /// metrics or events are on; a caller that already holds a reading
+    /// passes it to [`StreamingPipeline::process_record_at`] instead. A
+    /// metrics-on record costs at most one clock read, a sampled one a few
+    /// more. Disabled, the probe cost is one relaxed atomic load.
     pub fn process_record(&mut self, timestamp: i64, row: &[f64]) -> Vec<Alarm> {
+        let start = (obs::metrics_enabled() || obs::events_enabled()).then(Instant::now);
+        self.process(timestamp, row, start)
+    }
+
+    /// [`StreamingPipeline::process_record`] with the caller's clock
+    /// reading as the latency start, so the record's clock is read once.
+    /// The ingest engine passes the instant its reorder buffer released
+    /// the record, the same reading it stamps as the alarm provenance's
+    /// `release_ns`.
+    pub fn process_record_at(&mut self, timestamp: i64, row: &[f64], start: Instant) -> Vec<Alarm> {
+        self.process(timestamp, row, Some(start))
+    }
+
+    /// The one implementation behind both entry points.
+    fn process(&mut self, timestamp: i64, row: &[f64], start: Option<Instant>) -> Vec<Alarm> {
         let on = obs::metrics_enabled();
         let events_on = obs::events_enabled();
-        // Arrival timestamp of the triggering record, for alarm latency.
-        let arrival = (on || events_on).then(Instant::now);
-        // The stage clock starts at the arrival reading on sampled records.
+        // The stage clock starts at the latency start on sampled records.
         let mut clock = None;
         if on {
             self.stats.records.incr();
             self.stats.seen += 1;
             if self.stats.seen & obs::probe_sample_mask() == 0 {
-                clock = arrival;
+                clock = start;
             }
         }
-        let kept = self.cfg.filter.keep_row(&self.input_names, row);
+        let kept = self.filter.keep(row);
         lap(&mut clock, &mut self.stats.filter_ns);
         if !kept {
             return Vec::new();
@@ -500,7 +517,7 @@ impl StreamingPipeline {
         };
         lap(&mut clock, &mut self.stats.score_ns);
         if !alarms.is_empty() {
-            let latency_ns = arrival.map(ns_since);
+            let latency_ns = if on || events_on { start.map(ns_since) } else { None };
             if on {
                 self.stats.alarms.add(alarms.len() as u64);
                 if let Some(l) = latency_ns {

@@ -15,11 +15,18 @@
 //! # Observability
 //!
 //! Each shard keeps plain `u64` stats that are always on (they cost an
-//! increment) and mirrors them into the global `ingest.*` counters when
-//! metrics are enabled, resolving the `Arc` handles once at construction
-//! — the same discipline as `PipelineStats`. Queue depth is sampled into
-//! a per-shard `ingest.shardNN.queue_depth` histogram through a
-//! `BatchedRecorder`, flushed on [`ShardedIngest::finish`].
+//! increment). When metrics are enabled it publishes them into the global
+//! `ingest.*` counters once per engine call — at the end of every
+//! [`ShardedIngest::ingest`], [`ShardedIngest::ingest_batch`] and
+//! [`ShardedIngest::finish`] it adds what its stats gained during the
+//! call — so the record loop touches no shared atomics, and between calls
+//! the counters equal [`ShardedIngest::stats`]. The `Arc` handles are
+//! resolved once at construction. Queue depth is sampled into a per-shard
+//! `ingest.shardNN.queue_depth` histogram through a `BatchedRecorder`;
+//! it, and the lanes' pipeline recorders (`alarm.latency_ns`,
+//! `pipeline.stage.*`) and score sketches, are flushed into the shared
+//! registry at every [`ShardedIngest::observe_health`] and at
+//! [`ShardedIngest::finish`].
 //!
 //! The live ops plane adds three always-available facets: a per-shard
 //! `ingest.shardNN.records` counter (so scrape deltas yield per-shard
@@ -28,12 +35,15 @@
 //! and an [`AlarmProvenance`] entry per emitted alarm (arrival/release/
 //! emission stamps + release watermark) drained through
 //! [`ShardedIngest::drain_provenance`] into the CLI's NDJSON journal.
+//! The release stamp is the one clock read per released record: it is
+//! also the latency start of the record's `alarm.latency_ns` samples.
 
 use navarchos_core::pipeline::{Alarm, PipelineConfig, StreamingPipeline};
 use navarchos_core::{DetectorKind, OwnerPool, TransformKind};
 use navarchos_fleetsim::{StreamBody, StreamItem};
 use navarchos_obs as obs;
 use navarchos_stat::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use std::time::Instant;
 
 use crate::health::{HealthPolicy, HealthSample, HealthState, HealthTransition, ShardHealth};
 use crate::quality::{QualityConfig, QualityMonitor, QualitySnapshot};
@@ -181,7 +191,9 @@ pub struct AlarmProvenance {
     /// (`ingest` or `ingest_batch`) entered the engine; every item of one
     /// call shares it, so in-batch queueing counts as buffer wait.
     pub arrival_ns: u64,
-    /// Monotonic ns when the reorder buffer released it to the pipeline.
+    /// Monotonic ns when the reorder buffer released it to the pipeline;
+    /// the same clock reading is the latency start of the alarm's
+    /// `alarm.latency_ns` sample.
     pub release_ns: u64,
     /// Monotonic ns when the pipeline returned the alarm.
     pub emit_ns: u64,
@@ -444,6 +456,8 @@ struct Shard {
     /// Quality monitors, sorted by vehicle id like `lanes`.
     quality: Vec<QualityLane>,
     stats: IngestStats,
+    /// `stats` as of the last [`Shard::publish_counters`].
+    published: IngestStats,
     dead: Vec<DeadLetter>,
     obs: ShardObs,
     /// Provenance of every alarm this shard emitted, pending drain.
@@ -463,6 +477,7 @@ impl Shard {
             lanes: Vec::new(),
             quality: Vec::new(),
             stats: IngestStats::default(),
+            published: IngestStats::default(),
             dead: Vec::new(),
             obs: ShardObs::new(index),
             provenance: Vec::new(),
@@ -472,7 +487,7 @@ impl Shard {
     }
 
     /// Processes and empties the inbox, keeping its capacity for the next
-    /// batch. Returns the alarms raised.
+    /// batch, then publishes the counters. Returns the alarms raised.
     fn drain_inbox(&mut self, arrival_ns: u64) -> Vec<FleetAlarm> {
         let mut alarms = Vec::new();
         let mut inbox = std::mem::take(&mut self.inbox);
@@ -480,7 +495,34 @@ impl Shard {
             self.process(item, arrival_ns, &mut alarms);
         }
         self.inbox = inbox;
+        self.publish_counters();
         alarms
+    }
+
+    /// Adds what `stats` gained since the last call to the global
+    /// `ingest.*` counters when metrics are on, so the record loop itself
+    /// touches no shared atomics. Runs once per engine call.
+    fn publish_counters(&mut self) {
+        let was = std::mem::replace(&mut self.published, self.stats);
+        if !obs::metrics_enabled() {
+            return;
+        }
+        let (now, o) = (&self.stats, &self.obs);
+        for (counter, now, was) in [
+            (&o.records, now.records, was.records),
+            (&o.shard_records, now.records, was.records),
+            (&o.reordered, now.reordered, was.reordered),
+            (&o.duplicates, now.duplicates, was.duplicates),
+            (&o.late_dropped, now.late_dropped, was.late_dropped),
+            (&o.dead_letter, now.dead_letter, was.dead_letter),
+            (&o.alarms, now.alarms, was.alarms),
+            (&o.quality_flagged, now.quality_flagged, was.quality_flagged),
+        ] {
+            let delta = now.saturating_sub(was);
+            if delta > 0 {
+                counter.add(delta);
+            }
+        }
     }
 
     fn lane_index(&mut self, vehicle: u32) -> usize {
@@ -520,9 +562,6 @@ impl Shard {
 
     fn dead_letter(&mut self, vehicle: u32, timestamp: i64, reason: DeadLetterReason) {
         self.stats.dead_letter += 1;
-        if obs::metrics_enabled() {
-            self.obs.dead_letter.incr();
-        }
         if self.dead.len() < self.cfg.max_dead_letters_kept {
             self.dead.push(DeadLetter { vehicle, timestamp, reason });
         }
@@ -531,22 +570,14 @@ impl Shard {
     /// Processes one item that arrived at `arrival_ns` (the stamp of the
     /// engine call that delivered it).
     fn process(&mut self, item: StreamItem, arrival_ns: u64, alarms: &mut Vec<FleetAlarm>) {
-        let metrics_on = obs::metrics_enabled();
         match &item.body {
             StreamBody::Record(row) => {
                 self.stats.records += 1;
-                if metrics_on {
-                    self.obs.records.incr();
-                    self.obs.shard_records.incr();
-                }
                 // Quality monitors see the raw row *before* validation:
                 // the NaN bursts that dead-letter just below are exactly
                 // what they exist to measure.
                 if self.quality_observe(item.vehicle, item.timestamp, row) {
                     self.stats.quality_flagged += 1;
-                    if metrics_on {
-                        self.obs.quality_flagged.incr();
-                    }
                 }
                 let expected = self.names.len();
                 if row.len() != expected {
@@ -575,32 +606,17 @@ impl Shard {
         };
         match outcome {
             PushOutcome::Accepted { reordered } => {
-                if reordered {
-                    self.stats.reordered += 1;
-                    if metrics_on {
-                        self.obs.reordered.incr();
-                    }
-                }
+                self.stats.reordered += u64::from(reordered);
             }
-            PushOutcome::Duplicate => {
-                self.stats.duplicates += 1;
-                if metrics_on {
-                    self.obs.duplicates.incr();
-                }
-            }
-            PushOutcome::LateDropped => {
-                self.stats.late_dropped += 1;
-                if metrics_on {
-                    self.obs.late_dropped.incr();
-                }
-            }
+            PushOutcome::Duplicate => self.stats.duplicates += 1,
+            PushOutcome::LateDropped => self.stats.late_dropped += 1,
             PushOutcome::Conflict => {
                 self.dead_letter(vehicle, timestamp, DeadLetterReason::Conflict);
             }
         }
         let depth = self.lanes[lane_i].buffer.len() as u64;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(depth);
-        if metrics_on {
+        if obs::metrics_enabled() {
             self.obs.queue_depth.record(depth);
         }
         // Feed whatever the watermark released, in canonical order.
@@ -618,13 +634,13 @@ impl Shard {
         match &item.body {
             StreamBody::Maintenance { is_repair } => lane.pipeline.process_event(*is_repair),
             StreamBody::Record(row) => {
-                let release_ns = obs::elapsed_ns();
-                let raised = lane.pipeline.process_record(item.timestamp, row);
+                // One clock read: the provenance's release stamp and the
+                // pipeline's latency start.
+                let release = Instant::now();
+                let release_ns = obs::instant_ns(release);
+                let raised = lane.pipeline.process_record_at(item.timestamp, row, release);
                 if !raised.is_empty() {
                     self.stats.alarms += raised.len() as u64;
-                    if obs::metrics_enabled() {
-                        self.obs.alarms.add(raised.len() as u64);
-                    }
                     let emit_ns = obs::elapsed_ns();
                     let watermark_ts = lane.buffer.watermark().unwrap_or(item.timestamp);
                     for alarm in &raised {
@@ -725,6 +741,8 @@ impl Shard {
     /// Counterpart of [`Shard::write_state`], on a freshly built shard.
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stats = IngestStats::read_state(r)?;
+        // Restored totals were published by the process that counted them.
+        self.published = self.stats;
         let n_dead = r.get_len(13)?;
         if n_dead > self.cfg.max_dead_letters_kept {
             return Err(SnapError::Corrupt("more dead letters than the retention cap"));
@@ -759,9 +777,17 @@ impl Shard {
             }
             self.released = released;
         }
+        for lane in &self.lanes {
+            self.stats.forced_releases += lane.buffer.stats().forced_releases;
+        }
+        self.publish_counters();
+        self.flush_obs();
+    }
+
+    /// Flushes the batched recorders and score sketches of this shard and
+    /// of every lane's pipeline into the shared registry.
+    fn flush_obs(&mut self) {
         for lane in &mut self.lanes {
-            let b = lane.buffer.stats();
-            self.stats.forced_releases += b.forced_releases;
             lane.pipeline.flush_obs();
         }
         self.obs.queue_depth.flush();
@@ -848,8 +874,10 @@ impl ShardedIngest {
     pub fn ingest(&mut self, item: StreamItem) -> Vec<FleetAlarm> {
         let arrival_ns = obs::elapsed_ns();
         let mut alarms = Vec::new();
-        let shard = self.shard_of(item.vehicle);
-        self.shards[shard].process(item, arrival_ns, &mut alarms);
+        let i = self.shard_of(item.vehicle);
+        let shard = &mut self.shards[i];
+        shard.process(item, arrival_ns, &mut alarms);
+        shard.publish_counters();
         alarms
     }
 
@@ -914,16 +942,20 @@ impl ShardedIngest {
     /// Ticks every shard's health state machine against its current queue
     /// depth and cumulative drop/quality counters (the tracker deltas
     /// internally — see [`crate::health`]). Call between batches at the
-    /// snapshot cadence. Updates the `ingest.shardNN.health` and
-    /// `ingest.quality.*` gauges when metrics are on, emits one structured
-    /// `ingest.health` event per transition when events are on, and
-    /// returns the transitions.
+    /// snapshot cadence. Flushes the batched recorders and score sketches
+    /// (queue depth, `alarm.latency_ns`, `pipeline.stage.*`, scores) into
+    /// the shared registry and refreshes the pipelines' model-quality
+    /// gauges, so a live scrape sees them before the stream ends. Updates
+    /// the `ingest.shardNN.health` and `ingest.quality.*` gauges when
+    /// metrics are on, emits one structured `ingest.health` event per
+    /// transition when events are on, and returns the transitions.
     pub fn observe_health(&mut self) -> Vec<HealthTransition> {
         let t_ns = obs::elapsed_ns();
         let metrics_on = obs::metrics_enabled();
         let mut transitions = Vec::new();
         let mut worst_drift = 0u64;
         for (shard, tracker) in self.shards.iter_mut().zip(self.health.iter_mut()) {
+            shard.flush_obs();
             let queue_depth: u64 = shard.lanes.iter().map(|l| l.buffer.len() as u64).sum();
             let sample = HealthSample {
                 t_ns,

@@ -118,6 +118,10 @@ struct ChannelQuality {
     ref_min: f64,
     ref_max: f64,
     frozen: bool,
+    // Drift denominators, fixed once the reference freezes (see
+    // `freeze`): the floored reference std and the floored range.
+    z_denom: f64,
+    range: f64,
     // Rolling window of raw cell values (NaN kept — it is the signal).
     ring: VecDeque<f64>,
     finite_sum: f64,
@@ -134,6 +138,8 @@ impl ChannelQuality {
             ref_min: f64::INFINITY,
             ref_max: f64::NEG_INFINITY,
             frozen: false,
+            z_denom: 0.0,
+            range: 0.0,
             ring: VecDeque::new(),
             finite_sum: 0.0,
             finite_count: 0,
@@ -141,7 +147,9 @@ impl ChannelQuality {
         }
     }
 
-    fn push(&mut self, v: f64, reference_len: usize, window: usize) {
+    /// Pushes one cell; returns true when it froze the reference.
+    fn push(&mut self, v: f64, reference_len: usize, window: usize) -> bool {
+        let mut froze = false;
         if !self.frozen && v.is_finite() {
             self.ref_count += 1;
             let delta = v - self.ref_mean;
@@ -150,7 +158,8 @@ impl ChannelQuality {
             self.ref_min = self.ref_min.min(v);
             self.ref_max = self.ref_max.max(v);
             if self.ref_count >= reference_len {
-                self.frozen = true;
+                self.freeze();
+                froze = true;
             }
         }
         self.ring.push_back(v);
@@ -169,6 +178,18 @@ impl ChannelQuality {
                 self.nan_count -= 1;
             }
         }
+        froze
+    }
+
+    /// Freezes the reference and fixes the drift denominators. The floors
+    /// keep a constant-valued reference channel from turning any wiggle
+    /// into an infinite z (std floor) or from making the range gate
+    /// unpassable (range floor — any real shift off a constant clears it).
+    fn freeze(&mut self) {
+        self.frozen = true;
+        let floor = 1e-9 * self.ref_mean.abs().max(1.0);
+        self.z_denom = self.ref_std().max(floor);
+        self.range = (self.ref_max - self.ref_min).max(floor);
     }
 
     fn ref_std(&self) -> f64 {
@@ -178,30 +199,28 @@ impl ChannelQuality {
         (self.ref_m2 / (self.ref_count - 1) as f64).sqrt()
     }
 
-    /// Drift z-score of the rolling mean vs the frozen reference; 0 until
-    /// both the reference and enough of the window are in. The std floor
-    /// keeps a constant-valued reference channel from turning any wiggle
-    /// into an infinite z.
-    fn drift_z(&self, min_window: usize) -> f64 {
-        if !self.frozen || self.finite_count < min_window {
-            return 0.0;
-        }
-        let roll_mean = self.finite_sum / self.finite_count as f64;
-        let denom = self.ref_std().max(1e-9 * self.ref_mean.abs().max(1.0));
-        ((roll_mean - self.ref_mean) / denom).abs()
+    /// The rolling mean, once both the reference and enough of the window
+    /// are in.
+    fn comparable_mean(&self, min_window: usize) -> Option<f64> {
+        (self.frozen && self.finite_count >= min_window)
+            .then(|| self.finite_sum / self.finite_count as f64)
     }
 
-    /// The range gate: true when the rolling mean sits `range_factor`
-    /// reference ranges away from the reference mean. The floor keeps a
-    /// constant-valued reference (zero range) from making the gate
-    /// unpassable — any real shift off a constant clears it.
-    fn drift_beyond_range(&self, min_window: usize, range_factor: f64) -> bool {
-        if !self.frozen || self.finite_count < min_window {
-            return false;
-        }
-        let roll_mean = self.finite_sum / self.finite_count as f64;
-        let range = (self.ref_max - self.ref_min).max(1e-9 * self.ref_mean.abs().max(1.0));
-        (roll_mean - self.ref_mean).abs() > range_factor * range
+    /// Drift z-score of the rolling mean vs the frozen reference; 0 until
+    /// the mean is comparable.
+    fn drift_z(&self, min_window: usize) -> f64 {
+        self.comparable_mean(min_window)
+            .map_or(0.0, |roll_mean| ((roll_mean - self.ref_mean) / self.z_denom).abs())
+    }
+
+    /// Both drift gates on this channel: the rolling mean sits
+    /// `range_factor` reference ranges away from the reference mean (the
+    /// cheap range gate, tested first) and its z-score reaches `z_flag`.
+    fn drifted(&self, min_window: usize, z_flag: f64, range_factor: f64) -> bool {
+        self.comparable_mean(min_window).is_some_and(|roll_mean| {
+            (roll_mean - self.ref_mean).abs() > range_factor * self.range
+                && ((roll_mean - self.ref_mean) / self.z_denom).abs() >= z_flag
+        })
     }
 }
 
@@ -242,6 +261,9 @@ impl ChannelQuality {
         self.ref_min = ref_min;
         self.ref_max = ref_max;
         self.frozen = frozen;
+        if frozen {
+            self.freeze();
+        }
         self.ring = ring.into();
         self.finite_sum = finite_sum;
         self.finite_count = finite_count;
@@ -255,6 +277,8 @@ impl ChannelQuality {
 pub struct QualityMonitor {
     cfg: QualityConfig,
     channels: Vec<ChannelQuality>,
+    /// Every channel's reference is frozen (never true with no channels).
+    frozen: bool,
     records: u64,
     // Cadence: inter-record gaps collected during warm-up, median frozen.
     last_ts: Option<i64>,
@@ -270,6 +294,7 @@ impl QualityMonitor {
         QualityMonitor {
             cfg,
             channels: (0..n_channels).map(|_| ChannelQuality::new()).collect(),
+            frozen: false,
             records: 0,
             last_ts: None,
             warmup_dts: Vec::new(),
@@ -284,9 +309,13 @@ impl QualityMonitor {
     /// under the config's thresholds.
     pub fn observe(&mut self, timestamp: i64, row: &[f64]) -> bool {
         self.records += 1;
+        let mut froze = false;
         for (i, ch) in self.channels.iter_mut().enumerate() {
             let v = row.get(i).copied().unwrap_or(f64::NAN);
-            ch.push(v, self.cfg.reference_len, self.cfg.window);
+            froze |= ch.push(v, self.cfg.reference_len, self.cfg.window);
+        }
+        if froze {
+            self.frozen = self.channels.iter().all(|c| c.frozen);
         }
         self.observe_cadence(timestamp);
         self.flagged()
@@ -305,9 +334,9 @@ impl QualityMonitor {
             None => {
                 self.warmup_dts.push(dt);
                 if self.warmup_dts.len() >= self.cfg.reference_len {
-                    self.warmup_dts.sort_unstable();
-                    self.median_dt = Some(self.warmup_dts[self.warmup_dts.len() / 2].max(1));
-                    self.warmup_dts = Vec::new();
+                    let mut dts = std::mem::take(&mut self.warmup_dts);
+                    dts.sort_unstable();
+                    self.median_dt = dts.get(dts.len() / 2).map(|m| (*m).max(1));
                 }
             }
             Some(median) => {
@@ -360,21 +389,20 @@ impl QualityMonitor {
         {
             return true;
         }
-        if !self.reference_frozen() {
+        if !self.frozen {
             return false;
         }
         let min_window = self.min_window();
         // Both gates on the same channel: statistically impossible under
         // the reference (z) AND outside everything it ever saw (range).
-        self.channels.iter().any(|c| {
-            c.drift_z(min_window) >= self.cfg.drift_z_flag
-                && c.drift_beyond_range(min_window, self.cfg.drift_range_factor)
-        })
+        self.channels
+            .iter()
+            .any(|c| c.drifted(min_window, self.cfg.drift_z_flag, self.cfg.drift_range_factor))
     }
 
     /// True once every channel's reference is frozen.
     pub fn reference_frozen(&self) -> bool {
-        !self.channels.is_empty() && self.channels.iter().all(|c| c.frozen)
+        self.frozen
     }
 
     /// Current rolling fractions and drift, for gauge export.
@@ -447,6 +475,7 @@ impl Restore for QualityMonitor {
         if gap_count != gap_ring.iter().filter(|g| **g).count() {
             return Err(SnapError::Corrupt("gap count disagrees with the gap ring"));
         }
+        self.frozen = !channels.is_empty() && channels.iter().all(|c| c.frozen);
         self.channels = channels;
         self.records = records;
         self.last_ts = last_ts;
@@ -569,6 +598,147 @@ mod tests {
             m.observe(29 * 60 - i * 60, &[1.0]);
         }
         assert_eq!(m.snapshot().gap_fraction, 0.0);
+    }
+
+    /// The flag and snapshot formulas from before the drift denominators
+    /// were cached: recomputed from the raw reference accumulators on
+    /// every call, z gate before range gate, frozen-ness walked per
+    /// channel. The oracle for the cached path.
+    mod oracle {
+        use super::super::{ChannelQuality, QualityMonitor, QualitySnapshot};
+
+        fn ref_std(c: &ChannelQuality) -> f64 {
+            if c.ref_count < 2 {
+                return 0.0;
+            }
+            (c.ref_m2 / (c.ref_count - 1) as f64).sqrt()
+        }
+
+        fn drift_z(c: &ChannelQuality, min_window: usize) -> f64 {
+            if !c.frozen || c.finite_count < min_window {
+                return 0.0;
+            }
+            let roll_mean = c.finite_sum / c.finite_count as f64;
+            let denom = ref_std(c).max(1e-9 * c.ref_mean.abs().max(1.0));
+            ((roll_mean - c.ref_mean) / denom).abs()
+        }
+
+        fn drift_beyond_range(c: &ChannelQuality, min_window: usize, factor: f64) -> bool {
+            if !c.frozen || c.finite_count < min_window {
+                return false;
+            }
+            let roll_mean = c.finite_sum / c.finite_count as f64;
+            let range = (c.ref_max - c.ref_min).max(1e-9 * c.ref_mean.abs().max(1.0));
+            (roll_mean - c.ref_mean).abs() > factor * range
+        }
+
+        fn reference_frozen(m: &QualityMonitor) -> bool {
+            !m.channels.is_empty() && m.channels.iter().all(|c| c.frozen)
+        }
+
+        pub fn flagged(m: &QualityMonitor) -> bool {
+            let windowed = m.records >= m.cfg.window as u64;
+            if windowed && m.nan_fraction() >= m.cfg.nan_fraction_flag {
+                return true;
+            }
+            if m.gap_ring.len() >= m.cfg.window && m.gap_fraction() >= m.cfg.gap_fraction_flag {
+                return true;
+            }
+            if !reference_frozen(m) {
+                return false;
+            }
+            let min_window = m.min_window();
+            m.channels.iter().any(|c| {
+                drift_z(c, min_window) >= m.cfg.drift_z_flag
+                    && drift_beyond_range(c, min_window, m.cfg.drift_range_factor)
+            })
+        }
+
+        pub fn snapshot(m: &QualityMonitor) -> QualitySnapshot {
+            let min_window = m.min_window();
+            QualitySnapshot {
+                nan_fraction: m.nan_fraction(),
+                gap_fraction: m.gap_fraction(),
+                max_drift_z: m.channels.iter().map(|c| drift_z(c, min_window)).fold(0.0, f64::max),
+                reference_frozen: reference_frozen(m),
+                records: m.records,
+            }
+        }
+    }
+
+    /// One vehicle's raw records, `(timestamp, row)`.
+    type Records = Vec<(i64, Vec<f64>)>;
+
+    /// Raw record streams of every vehicle of a small seeded fleet, in
+    /// arrival order: clean, and through lossy dirt (reorders, duplicates,
+    /// gaps, NaN/truncated/emptied rows) with one vehicle biased from mid-
+    /// stream and another NaN-bursting from three quarters on.
+    fn fleet_streams() -> Vec<(&'static str, Records)> {
+        use navarchos_fleetsim::{
+            dirty_stream, interleave_fleet, CorruptionMode, DirtyConfig, FleetConfig, StreamBody,
+            StreamItem,
+        };
+        let fleet = FleetConfig::small(11).generate();
+        let clean = interleave_fleet(&fleet);
+        let (v0, v1) = (fleet.vehicles[0].id.0, fleet.vehicles[1].id.0);
+        let mut dirty = dirty_stream(
+            &clean,
+            &DirtyConfig::lossy(5).with_target(v0, 0.5, CorruptionMode::Bias(500.0)),
+        );
+        dirty = dirty_stream(
+            &dirty,
+            &DirtyConfig {
+                corrupt_prob: 0.0,
+                reorder_prob: 0.0,
+                dup_prob: 0.0,
+                drop_prob: 0.0,
+                ..DirtyConfig::lossy(6)
+            }
+            .with_target(v1, 0.75, CorruptionMode::NanBurst),
+        );
+        let mut streams = Vec::new();
+        for (label, items) in [("clean", &clean), ("dirty", &dirty)] {
+            for vd in &fleet.vehicles {
+                let rows = items
+                    .iter()
+                    .filter(|it: &&StreamItem| it.vehicle == vd.id.0)
+                    .filter_map(|it| match &it.body {
+                        StreamBody::Record(row) => Some((it.timestamp, row.clone())),
+                        StreamBody::Maintenance { .. } => None,
+                    })
+                    .collect();
+                streams.push((label, rows));
+            }
+        }
+        streams
+    }
+
+    #[test]
+    fn cached_drift_path_matches_the_recomputing_oracle() {
+        let mut flags = [0usize; 2];
+        for (label, rows) in fleet_streams() {
+            let n_channels = rows.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+            let mut m = QualityMonitor::new(n_channels, QualityConfig::default());
+            let mid = rows.len() / 2;
+            for (i, (t, row)) in rows.iter().enumerate() {
+                if i == mid {
+                    // Mid-stream restore: the cached denominators and the
+                    // frozen flag are rebuilt, not read.
+                    let mut w = SnapWriter::new();
+                    m.write_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut restored = QualityMonitor::new(n_channels, QualityConfig::default());
+                    restored.read_state(&mut SnapReader::new(&bytes)).expect("restores");
+                    assert_eq!(restored.snapshot(), oracle::snapshot(&m), "{label} restore");
+                    m = restored;
+                }
+                let flagged = m.observe(*t, row);
+                assert_eq!(flagged, oracle::flagged(&m), "{label} record {i}");
+                assert_eq!(m.snapshot(), oracle::snapshot(&m), "{label} record {i}");
+                flags[usize::from(label == "dirty")] += usize::from(flagged);
+            }
+        }
+        assert!(flags[1] > flags[0], "the corrupted streams must flag more: {flags:?}");
     }
 
     #[test]

@@ -128,11 +128,22 @@ pub fn set_sink(sink: Arc<dyn Sink>) {
     set_events_enabled(true);
 }
 
+/// The process obs epoch: the first clock-reading obs call.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
 /// Nanoseconds since the first obs call in this process (monotonic).
 pub fn elapsed_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// An `Instant` on the [`elapsed_ns`] scale, so one clock read can serve
+/// both as a duration start and as a stamp. Readings taken before the
+/// epoch saturate to 0.
+pub fn instant_ns(t: Instant) -> u64 {
+    u64::try_from(t.saturating_duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Emits an event to the installed sink. Call sites on hot paths should
@@ -291,5 +302,15 @@ mod tests {
         let a = elapsed_ns();
         let b = elapsed_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn instant_ns_shares_the_elapsed_ns_scale() {
+        let a = elapsed_ns();
+        let t = Instant::now();
+        let b = elapsed_ns();
+        let stamp = instant_ns(t);
+        assert!(a <= stamp && stamp <= b, "{a} <= {stamp} <= {b}");
+        assert_eq!(instant_ns(t), stamp, "pure in its reading");
     }
 }

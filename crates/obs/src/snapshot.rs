@@ -367,8 +367,14 @@ mod tests {
         assert_eq!(ring.latest_delta().expect("delta").counter_delta("x"), 2);
     }
 
+    /// The two sampler tests set the process-global metrics flag to
+    /// opposite values; run in parallel, each could start its sampler
+    /// under the other's setting.
+    static METRICS_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn sampler_is_inert_when_metrics_off() {
+        let _flag = METRICS_FLAG.lock().unwrap_or_else(|p| p.into_inner());
         crate::set_metrics_enabled(false);
         let ring = Arc::new(SnapshotRing::new(4));
         let guard = start_sampler(Duration::from_millis(1), Arc::clone(&ring));
@@ -379,6 +385,7 @@ mod tests {
 
     #[test]
     fn sampler_fills_the_ring_and_stops_on_drop() {
+        let _flag = METRICS_FLAG.lock().unwrap_or_else(|p| p.into_inner());
         crate::set_metrics_enabled(true);
         metrics::counter("test.snapshot.sampled").incr();
         let ring = Arc::new(SnapshotRing::new(8));

@@ -129,34 +129,108 @@ impl FilterSpec {
     }
 
     /// Streaming variant: whether a single record survives the filter.
+    /// `names` labels the row's cells; a row shorter than `names` is
+    /// dropped. Resolves the filter's columns on every call — a loop over
+    /// records of one layout should [`FilterSpec::bind`] once and call
+    /// [`BoundFilter::keep`], which runs the same row test.
     pub fn keep_row(&self, names: &[String], row: &[f64]) -> bool {
-        if row.iter().any(|v| !v.is_finite()) {
+        let find = |n: &str| names.iter().position(|x| x == n);
+        row_passes(
+            row,
+            names.len(),
+            self.stationary_test(find),
+            self.range_tests(find),
+            self.warm_test(find),
+        )
+    }
+
+    /// Resolves the filter's columns against one record layout, once.
+    pub fn bind<S: AsRef<str>>(&self, names: &[S]) -> BoundFilter {
+        let find = |n: &str| names.iter().position(|x| x.as_ref() == n);
+        BoundFilter {
+            width: names.len(),
+            stationary: self.stationary_test(find),
+            ranges: self.range_tests(find).collect(),
+            warm: self.warm_test(find),
+        }
+    }
+
+    /// `(speed column, rpm column, min speed, min rpm)`, when both columns
+    /// are configured and present.
+    fn stationary_test(
+        &self,
+        find: impl Fn(&str) -> Option<usize>,
+    ) -> Option<(usize, usize, f64, f64)> {
+        let (sc, rc) = (self.speed_column.as_deref()?, self.rpm_column.as_deref()?);
+        Some((find(sc)?, find(rc)?, self.min_moving_speed, self.min_running_rpm))
+    }
+
+    /// `(column, min, max)` for each valid range whose column is present.
+    fn range_tests<'a>(
+        &'a self,
+        find: impl Fn(&str) -> Option<usize> + 'a,
+    ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+        self.valid_ranges.iter().filter_map(move |vr| Some((find(&vr.name)?, vr.min, vr.max)))
+    }
+
+    /// `(warm column, warm_min)`, when the column is configured and present.
+    fn warm_test(&self, find: impl Fn(&str) -> Option<usize>) -> Option<(usize, f64)> {
+        Some((find(self.warm_column.as_deref()?)?, self.warm_min))
+    }
+}
+
+/// A [`FilterSpec`] with its columns resolved against one record layout
+/// by [`FilterSpec::bind`]: the per-record test with no name lookups.
+#[derive(Debug, Clone)]
+pub struct BoundFilter {
+    /// Cells a row must have (the layout's width).
+    width: usize,
+    /// `(speed column, rpm column, min speed, min rpm)`.
+    stationary: Option<(usize, usize, f64, f64)>,
+    /// `(column, min, max)` for each valid range whose column is present.
+    ranges: Vec<(usize, f64, f64)>,
+    /// `(warm column, warm_min)`.
+    warm: Option<(usize, f64)>,
+}
+
+impl BoundFilter {
+    /// Whether a record survives the filter; same answer as
+    /// [`FilterSpec::keep_row`] with the names this filter was bound to.
+    pub fn keep(&self, row: &[f64]) -> bool {
+        row_passes(row, self.width, self.stationary, self.ranges.iter().copied(), self.warm)
+    }
+}
+
+/// The one per-record filter test, on resolved column indices. A row
+/// shorter than `width` is dropped, so no index can fall outside it.
+fn row_passes(
+    row: &[f64],
+    width: usize,
+    stationary: Option<(usize, usize, f64, f64)>,
+    ranges: impl Iterator<Item = (usize, f64, f64)>,
+    warm: Option<(usize, f64)>,
+) -> bool {
+    if row.len() < width || row.iter().any(|v| !v.is_finite()) {
+        return false;
+    }
+    let cell = |i: usize| row.get(i).copied().unwrap_or(f64::NAN);
+    if let Some((si, ri, min_speed, min_rpm)) = stationary {
+        if cell(si) < min_speed && cell(ri) < min_rpm {
             return false;
         }
-        let find = |n: &str| names.iter().position(|x| x == n);
-        if let (Some(sc), Some(rc)) = (&self.speed_column, &self.rpm_column) {
-            if let (Some(si), Some(ri)) = (find(sc), find(rc)) {
-                if row[si] < self.min_moving_speed && row[ri] < self.min_running_rpm {
-                    return false;
-                }
-            }
-        }
-        for vr in &self.valid_ranges {
-            if let Some(i) = find(&vr.name) {
-                if row[i] < vr.min || row[i] > vr.max {
-                    return false;
-                }
-            }
-        }
-        if let Some(wc) = &self.warm_column {
-            if let Some(i) = find(wc) {
-                if row[i] < self.warm_min {
-                    return false;
-                }
-            }
-        }
-        true
     }
+    for (i, min, max) in ranges {
+        let v = cell(i);
+        if v < min || v > max {
+            return false;
+        }
+    }
+    if let Some((wi, warm_min)) = warm {
+        if cell(wi) < warm_min {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -204,6 +278,94 @@ mod tests {
         let names = f.names().to_vec();
         for (i, &keep) in mask.iter().enumerate() {
             assert_eq!(spec.keep_row(&names, &f.row(i)), keep, "row {i}");
+        }
+    }
+
+    #[test]
+    fn short_rows_are_dropped_not_indexed() {
+        let spec = FilterSpec::navarchos_default();
+        let names = pid_frame().names().to_vec();
+        let bound = spec.bind(&names);
+        let full = [2000.0, 50.0, 90.0, 25.0, 100.0, 30.0];
+        assert!(spec.keep_row(&names, &full) && bound.keep(&full));
+        for len in 0..full.len() {
+            assert!(!spec.keep_row(&names, &full[..len]), "keep_row, len {len}");
+            assert!(!bound.keep(&full[..len]), "keep, len {len}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PIDS: [&str; 6] =
+            ["rpm", "speed", "coolantTemp", "intakeTemp", "mapIntake", "mafAirFlowRate"];
+
+        /// Cells around every bound of the default spec, plus NaN and ±inf,
+        /// half the time; uniform over every range the other half.
+        fn cell() -> impl Strategy<Value = f64> {
+            const EDGES: [f64; 12] = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -40.0,
+                0.0,
+                3.0,
+                5.0,
+                72.0,
+                135.0,
+                220.0,
+                950.0,
+                8000.0,
+            ];
+            (0usize..2 * EDGES.len(), -100.0f64..9000.0)
+                .prop_map(|(k, v)| EDGES.get(k).copied().unwrap_or(v))
+        }
+
+        /// A layout: each PID column present or missing, an unfiltered
+        /// extra column present or missing, all in a random order.
+        fn layout() -> impl Strategy<Value = Vec<String>> {
+            (prop::collection::vec(0u8..2, PIDS.len() + 1), prop::collection::vec(0u32..1000, 7))
+                .prop_map(|(present, order)| {
+                    let mut cols: Vec<(u32, String)> = PIDS
+                        .iter()
+                        .chain(&["odometer"])
+                        .zip(&present)
+                        .zip(&order)
+                        .filter(|((_, &p), _)| p == 1)
+                        .map(|((n, _), &k)| (k, n.to_string()))
+                        .collect();
+                    cols.sort();
+                    cols.into_iter().map(|(_, n)| n).collect()
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn keep_row_bound_keep_and_mask_agree(
+                names in layout(),
+                rows in prop::collection::vec(prop::collection::vec(cell(), 7), 1..24),
+                cut in 0usize..8,
+            ) {
+                let spec = FilterSpec::navarchos_default();
+                let bound = spec.bind(&names);
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut frame = Frame::new(&refs);
+                for (t, row) in rows.iter().enumerate() {
+                    frame.push_row(t as i64, &row[..names.len()]);
+                }
+                let mask = spec.mask(&frame);
+                for (i, row) in rows.iter().enumerate() {
+                    let row = &row[..names.len()];
+                    prop_assert_eq!(spec.keep_row(&names, row), mask[i]);
+                    prop_assert_eq!(bound.keep(row), mask[i]);
+                    // Short rows: dropped by both forms, never a panic.
+                    let short = &row[..cut.min(row.len())];
+                    let keep_short = short.len() == names.len() && mask[i];
+                    prop_assert_eq!(spec.keep_row(&names, short), keep_short);
+                    prop_assert_eq!(bound.keep(short), keep_short);
+                }
+            }
         }
     }
 

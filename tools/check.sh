@@ -19,6 +19,9 @@ if git ls-files -- 'target/*' | grep -q .; then
   exit 1
 fi
 
+step "bash -n tools/bench-ab.sh"
+bash -n tools/bench-ab.sh
+
 step "cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
